@@ -1278,20 +1278,17 @@ impl DataMatrix {
         let path = dir.join(ooc::unique_spill_name("dw-spill"));
         // Page boundaries need monotone rows.  Generators emit row-ordered
         // triplets, so the common case streams the borrowed entries
-        // directly; only an out-of-order source pays a stable sort by row
-        // (which preserves within-row push order — the duplicate-merge
-        // order) on a transient copy.
+        // directly; only an out-of-order source is bucketed by row into a
+        // transient copy, by the linear counting pass the merge uses (it is
+        // stable, so within-row push order — the duplicate-merge order —
+        // is kept).
         let entries = coo.entries();
         let row_ordered = entries.windows(2).all(|w| w[0].row <= w[1].row);
         let sorted;
         let ordered: &[crate::Entry] = if row_ordered {
             entries
         } else {
-            sorted = {
-                let mut copy = entries.to_vec();
-                copy.sort_by_key(|e| e.row);
-                copy
-            };
+            sorted = crate::coo::stable_sort_by_row(entries);
             &sorted
         };
         let mut writer =

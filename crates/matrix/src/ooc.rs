@@ -154,13 +154,12 @@ pub struct InMemorySource {
 
 impl InMemorySource {
     /// Chunk a COO matrix into pages of roughly `page_bytes` each, breaking
-    /// only at row boundaries.  Entries are stable-sorted by row first, so
+    /// only at row boundaries.  Entries are stably bucketed by row first, so
     /// within-row push order (and therefore duplicate-merge order) is
     /// preserved.
     pub fn from_coo(coo: &CooMatrix, page_bytes: usize) -> Self {
         let shape = coo.shape();
-        let mut entries = coo.entries().to_vec();
-        entries.sort_by_key(|e| e.row);
+        let entries = crate::coo::stable_sort_by_row(coo.entries());
         let (pages, metas) = paginate(&entries, shape.rows, page_bytes.max(ENTRY_BYTES));
         InMemorySource {
             shape,
@@ -611,6 +610,10 @@ impl FileBackedSource {
     /// Read the page a (possibly historical) manifest entry describes.
     /// Sealed page payloads are immutable, so this stays valid even after
     /// later appends replaced the entry's slot in the current manifest.
+    ///
+    /// Every entry must lie in the page's row range; one that does not is
+    /// `InvalidData`.  That bound is what keeps the merge of a page sized by
+    /// the page's own rows, whatever the bytes on disk say.
     pub fn read_page_at(&self, meta: &PageMeta, out: &mut Vec<Entry>) -> io::Result<()> {
         let mut bytes = vec![0u8; meta.bytes()];
         {
@@ -621,11 +624,21 @@ impl FileBackedSource {
         out.clear();
         out.reserve(meta.entries);
         for c in bytes.chunks_exact(ENTRY_BYTES) {
-            out.push(Entry {
+            let entry = Entry {
                 row: u32::from_le_bytes(c[0..4].try_into().unwrap()),
                 col: u32::from_le_bytes(c[4..8].try_into().unwrap()),
                 value: f64::from_bits(u64::from_le_bytes(c[8..16].try_into().unwrap())),
-            });
+            };
+            if !(meta.row_start..meta.row_end).contains(&(entry.row as usize)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "page entry row {} outside the page's rows {}..{}",
+                        entry.row, meta.row_start, meta.row_end
+                    ),
+                ));
+            }
+            out.push(entry);
         }
         Ok(())
     }
@@ -1177,10 +1190,11 @@ impl PagedSource {
     /// Stream the **merged** triplets of rows `start..end` in row-major
     /// order through the bounded cache, pinning one page at a time.
     ///
-    /// Each page is merged independently with the same stable sort + sum +
-    /// drop-zero pass as [`CooMatrix::to_csr`]; because pages are
-    /// row-disjoint and ordered, the concatenated emission is bit-identical
-    /// to the global merge restricted to `start..end`.
+    /// Each page is merged independently by the same linear merge pass as
+    /// [`CooMatrix::to_csr`] (sum duplicates in page order, drop zeros) — a
+    /// page already in (row, col) order straight off the pinned buffer;
+    /// because pages are row-disjoint and ordered, the concatenated emission
+    /// is bit-identical to the global merge restricted to `start..end`.
     pub fn stream_rows(
         &self,
         start: usize,
@@ -1293,6 +1307,28 @@ mod tests {
         assert_eq!(prev_end, coo.rows(), "pages cover every row");
         assert_eq!(source.total_entries(), coo.nnz());
         assert_eq!(source.total_bytes(), coo.size_bytes());
+    }
+
+    #[test]
+    fn page_entry_outside_its_rows_is_invalid_data() {
+        let coo = sample_coo();
+        let dir = TempSpillDir::new("dw-ooc-test").unwrap();
+        let source = spill(&coo, &dir, 32);
+        let meta = source.page_meta(0);
+        {
+            // Overwrite the first entry's row id with a wild one.
+            let mut file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(source.path())
+                .unwrap();
+            file.seek(SeekFrom::Start(meta.offset)).unwrap();
+            file.write_all(&(u32::MAX / 2).to_le_bytes()).unwrap();
+        }
+        let mut out = Vec::new();
+        let err = source.read_page(0, &mut out).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Untouched pages still read.
+        source.read_page(1, &mut out).unwrap();
     }
 
     #[test]

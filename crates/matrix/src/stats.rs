@@ -51,10 +51,11 @@ impl MatrixStats {
     /// materializing any compressed layout.
     ///
     /// Duplicate entries and explicit zeros are merged exactly as the
-    /// COO→CSR conversion merges them, so the result is identical to
-    /// `MatrixStats::from_csr(&coo.to_csr())` — this is what lets the
-    /// cost-based planner decide on a storage layout *before* anything is
-    /// materialized.
+    /// COO→CSR conversion merges them (the same linear merge pass, which
+    /// reads row-ordered triplets in place and copies nothing), so the
+    /// result is identical to `MatrixStats::from_csr(&coo.to_csr())` — this
+    /// is what lets the cost-based planner decide on a storage layout
+    /// *before* anything is materialized.
     pub fn from_coo(matrix: &CooMatrix) -> Self {
         Self::from_row_counts(
             matrix.rows(),

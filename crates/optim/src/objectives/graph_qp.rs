@@ -35,6 +35,15 @@ impl GraphQp {
         GraphQp { anchor }
     }
 
+    /// The two endpoints of edge row `i`, read in place; `None` for a row
+    /// that is not an edge (any count of entries but two).
+    fn edge(data: &TaskData, i: usize) -> Option<(usize, usize)> {
+        match *data.row(i).indices {
+            [u, v] => Some((u as usize, v as usize)),
+            _ => None,
+        }
+    }
+
     /// The other endpoint of edge `i` relative to vertex `j`, with its value.
     fn other_endpoint(data: &TaskData, i: usize, j: usize) -> Option<usize> {
         data.row(i).iter().map(|(k, _)| k).find(|&k| k != j)
@@ -50,9 +59,8 @@ impl Objective for GraphQp {
         let n = data.examples().max(1) as f64;
         let mut smoothness = 0.0;
         for i in 0..data.examples() {
-            let endpoints: Vec<usize> = data.row(i).iter().map(|(j, _)| j).collect();
-            if endpoints.len() == 2 {
-                let diff = model[endpoints[0]] - model[endpoints[1]];
+            if let Some((u, v)) = Self::edge(data, i) {
+                let diff = model[u] - model[v];
                 smoothness += diff * diff;
             }
         }
@@ -65,11 +73,9 @@ impl Objective for GraphQp {
     }
 
     fn row_step(&self, data: &TaskData, i: usize, model: &dyn ModelAccess, step: f64) {
-        let endpoints: Vec<usize> = data.row(i).iter().map(|(j, _)| j).collect();
-        if endpoints.len() != 2 {
+        let Some((u, v)) = Self::edge(data, i) else {
             return;
-        }
-        let (u, v) = (endpoints[0], endpoints[1]);
+        };
         let xu = model.read(u);
         let xv = model.read(v);
         let diff = xu - xv;

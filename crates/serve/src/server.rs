@@ -119,31 +119,62 @@ impl Frontend {
 
     /// Queue one prediction against `session`'s current snapshot.
     pub fn submit(&self, session: &SessionHandle, input: SparseVector) -> Ticket {
-        let (tx, rx) = channel();
-        let request = QueuedRequest {
-            session: session.id(),
-            cell: session.snapshot_cell(),
-            objective: session.objective(),
-            stats: session.stats_sink(),
-            input,
-            enqueued: Instant::now(),
-            reply: tx,
-        };
-        {
-            let mut queue = self.core.queue.lock().expect("front-end queue poisoned");
-            queue.push_back(request);
-        }
-        self.core.available.notify_one();
-        Ticket { rx }
+        self.submit_batch(session, vec![input])
+            .pop()
+            .expect("one ticket per input")
     }
 
-    /// Queue a whole batch (one ticket per input, in order).
+    /// Queue a whole batch (one ticket per input, in order).  Every request
+    /// lands in the queue under one lock before any worker is woken, so a
+    /// drain worker sees the batch whole and can score up to `max_batch` of
+    /// it against one snapshot load.
     pub fn submit_batch(&self, session: &SessionHandle, inputs: Vec<SparseVector>) -> Vec<Ticket> {
-        let tickets = inputs
+        self.enqueue(
+            session.id(),
+            &session.snapshot_cell(),
+            &session.objective(),
+            &session.stats_sink(),
+            inputs,
+        )
+    }
+
+    /// Push one request per input for one session under a single lock, then
+    /// wake one drain worker for a lone request or all of them for a batch.
+    fn enqueue(
+        &self,
+        session: u64,
+        cell: &Arc<SnapshotCell>,
+        objective: &Arc<dyn Objective>,
+        stats: &Arc<SessionStats>,
+        inputs: Vec<SparseVector>,
+    ) -> Vec<Ticket> {
+        let enqueued = Instant::now();
+        let (tickets, requests): (Vec<Ticket>, Vec<QueuedRequest>) = inputs
             .into_iter()
-            .map(|input| self.submit(session, input))
-            .collect();
-        self.core.available.notify_all();
+            .map(|input| {
+                let (tx, rx) = channel();
+                let request = QueuedRequest {
+                    session,
+                    cell: Arc::clone(cell),
+                    objective: Arc::clone(objective),
+                    stats: Arc::clone(stats),
+                    input,
+                    enqueued,
+                    reply: tx,
+                };
+                (Ticket { rx }, request)
+            })
+            .unzip();
+        self.core
+            .queue
+            .lock()
+            .expect("front-end queue poisoned")
+            .extend(requests);
+        if tickets.len() == 1 {
+            self.core.available.notify_one();
+        } else {
+            self.core.available.notify_all();
+        }
         tickets
     }
 
@@ -290,6 +321,25 @@ mod tests {
         let rest = take_batch(&mut queue, 3);
         assert_eq!(rest.len(), 2);
         assert!(rest.iter().all(|r| r.session == 1));
+    }
+
+    #[test]
+    fn a_submitted_batch_drains_as_one_batch() {
+        let frontend = Frontend::new(1, 8);
+        let cell = Arc::new(SnapshotCell::new());
+        let objective: Arc<dyn Objective> = Arc::new(dw_optim::SvmHinge::default());
+        let stats = Arc::new(SessionStats::new());
+        let inputs = (0..8)
+            .map(|i| SparseVector::from_parts(vec![i], vec![1.0]))
+            .collect();
+        let tickets = frontend.enqueue(7, &cell, &objective, &stats, inputs);
+        for reply in tickets.into_iter().map(Ticket::wait) {
+            assert_eq!(reply.version, 0, "nothing published yet");
+            assert!(reply.score.is_nan());
+        }
+        assert_eq!(frontend.requests(), 8);
+        assert_eq!(frontend.batches(), 1, "max_batch inputs drain in one batch");
+        frontend.shutdown();
     }
 
     #[test]
